@@ -14,6 +14,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -349,12 +350,26 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before sending the status line, so a value JSON
+// cannot carry (a non-finite prediction) answers with an error body
+// instead of a success status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, statusFor(err), fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends an encoded JSON body in one write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -549,7 +564,13 @@ func (s *server) estimate(w http.ResponseWriter, r *http.Request, named bool) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, renderNetwork(upds[0].Network, net.Counts))
+	resp := renderNetwork(upds[0].Network, net.Counts)
+	body, err := resp.appendJSON(make([]byte, 0, resp.sizeHint()))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // renderNetwork converts a whole-network result into the /v1 (and /v2
@@ -559,6 +580,9 @@ func renderNetwork(nr delta.NetworkEvalResult, counts []int) estimateResponse {
 		Network: nr.Net, Device: nr.Device,
 		Model: string(nr.Model), Pass: string(nr.Pass),
 		TotalSeconds: nr.Seconds,
+	}
+	if len(nr.Results) > 0 {
+		resp.Layers = make([]layerResponse, 0, len(nr.Results))
 	}
 	for i, res := range nr.Results {
 		count := 1
