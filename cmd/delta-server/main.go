@@ -38,10 +38,10 @@
 // jobs are instead sharded across those workers (internal/cluster) and
 // merged back in expansion order, byte-identical to a single-node run;
 // failed workers' shards are reassigned with bounded retries, chronically
-// failing peers are fenced by per-peer circuit breakers, stragglers are
-// hedged to healthy peers, and shard deadlines adapt to the fleet's
-// observed pace (-breaker-*, -hedge-*, -shard-deadline-floor). See the
-// README's "Distributed sweeps" section.
+// failing peers are fenced by per-peer circuit breakers, and shard
+// deadlines adapt to the fleet's observed pace, so a straggler's shard
+// times out and is reassigned (-breaker-*, -shard-deadline-floor). See
+// the README's "Distributed sweeps" section.
 //
 // Chaos testing: -chaos arms a seeded deterministic fault injector
 // (internal/chaos) on the server's listener — refusals, synthetic 5xx,
@@ -121,12 +121,6 @@ func main() {
 			"consecutive failures before a peer's circuit breaker opens (0 = default 3)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 0,
 			"how long an open peer breaker waits before a half-open probe (0 = default 10s)")
-		hedgeMultiplier = flag.Float64("hedge-multiplier", 0,
-			"re-dispatch a shard when this many times slower than the fleet's median pace (0 = default 4, negative disables)")
-		hedgeInterval = flag.Duration("hedge-interval", 0,
-			"straggler-monitor poll period (0 = default 500ms)")
-		hedgeFloor = flag.Duration("hedge-floor", 0,
-			"minimum shard attempt age before hedging (0 = default 2s)")
 		deadlineFloor = flag.Duration("shard-deadline-floor", 0,
 			"lower clamp on adaptive shard deadlines (0 = default 30s)")
 
@@ -182,20 +176,17 @@ func main() {
 		log.Printf("delta-server: durable jobs in %s (fsync=%s)", *dataDir, *fsyncMode)
 	}
 	handler, sv, err := buildServer(p, jobs, serverConfig{
-		AuthToken:     *authToken,
-		RateLimit:     *rateLimit,
-		RateBurst:     *rateBurst,
-		MaxInFlight:   *maxInflight,
-		AccessLog:     log.Default(),
+		AuthToken:        *authToken,
+		RateLimit:        *rateLimit,
+		RateBurst:        *rateBurst,
+		MaxInFlight:      *maxInflight,
+		AccessLog:        log.Default(),
 		Peers:            peers,
 		ShardsPerPeer:    *shardsPerPeer,
 		ShardAttempts:    *shardAttempts,
 		ShardTimeout:     *shardTimeout,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		HedgeMultiplier:  *hedgeMultiplier,
-		HedgeInterval:    *hedgeInterval,
-		HedgeFloor:       *hedgeFloor,
 		DeadlineFloor:    *deadlineFloor,
 	})
 	if err != nil {

@@ -74,15 +74,10 @@ type serverConfig struct {
 
 	// Resilience tuning for the coordinator (0 = cluster defaults):
 	// breakers open after BreakerThreshold consecutive peer failures and
-	// half-open after BreakerCooldown; straggling shards re-dispatch when
-	// HedgeMultiplier× behind the fleet's median pace (negative disables
-	// hedging), polled every HedgeInterval once older than HedgeFloor; and
-	// adaptive shard deadlines clamp no lower than DeadlineFloor.
+	// half-open after BreakerCooldown, and adaptive shard deadlines clamp
+	// no lower than DeadlineFloor.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	HedgeMultiplier  float64
-	HedgeInterval    time.Duration
-	HedgeFloor       time.Duration
 	DeadlineFloor    time.Duration
 }
 
@@ -164,9 +159,6 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 			ClientBackoff:    cfg.ShardRetryBackoff,
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
-			HedgeMultiplier:  cfg.HedgeMultiplier,
-			HedgeInterval:    cfg.HedgeInterval,
-			HedgeFloor:       cfg.HedgeFloor,
 			DeadlineFloor:    cfg.DeadlineFloor,
 			Token:            cfg.AuthToken,
 			Metrics:          cluster.NewMetrics(s.metrics.reg),

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -233,6 +235,37 @@ func TestTransportLatencySites(t *testing.T) {
 	}
 }
 
+// TestTransportFrameLatencyCancelled: a request whose context ends while
+// a frame is held back by injected latency fails at once and receives no
+// delayed frame, as over a slow link.
+func TestTransportFrameLatencyCancelled(t *testing.T) {
+	srv := sseServer(t, 2)
+	inj := MustNew(Spec{Rules: []Rule{{Fault: FaultLatency, Where: "frame", LatencyMS: 10000}}})
+	cl := &http.Client{Transport: inj.Transport(nil)}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read error = %v, want the request's deadline", err)
+	}
+	if len(b) != 0 {
+		t.Fatalf("cancelled request received delayed bytes %q", b)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("cancelled request held for %v", took)
+	}
+}
+
 func TestSchedulingWindows(t *testing.T) {
 	inj := MustNew(Spec{Rules: []Rule{
 		{Fault: FaultRefuse, AfterRequests: 2, ForRequests: 2},
@@ -389,7 +422,7 @@ func TestListenerFaults(t *testing.T) {
 func TestFrameFilterAcrossChunks(t *testing.T) {
 	// Frames arriving byte by byte must still be counted and corrupted
 	// exactly once.
-	ff := &frameFilter{plan: streamPlan{cutAfter: -1, truncAt: -1, corruptAt: 1}, sleep: func(time.Duration) {}}
+	ff := &frameFilter{plan: streamPlan{cutAfter: -1, truncAt: -1, corruptAt: 1}, sleep: func(time.Duration) error { return nil }}
 	in := sseBody(3)
 	var out []byte
 	for i := 0; i < len(in); i++ {

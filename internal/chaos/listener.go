@@ -118,7 +118,10 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 		if c.plan.firstByte > 0 {
 			c.inj.doSleep(c.plan.firstByte)
 		}
-		c.filter = c.plan.filter(c.inj.doSleep)
+		c.filter = c.plan.filter(func(d time.Duration) error {
+			c.inj.doSleep(d)
+			return nil
+		})
 	}
 	if c.filter == nil {
 		return c.Conn.Write(p)

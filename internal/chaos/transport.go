@@ -32,10 +32,15 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("chaos: connection refused (%s)", req.URL.Host)
 	}
 	// All client-side waits watch the request context: injected latency
-	// delays a live request but releases a cancelled one immediately.
-	sleep := func(d time.Duration) { t.inj.pause(req.Context(), d) }
+	// delays a live request but fails a cancelled one immediately.
+	sleep := func(d time.Duration) error {
+		t.inj.pause(req.Context(), d)
+		return req.Context().Err()
+	}
 	if plan.dial > 0 {
-		sleep(plan.dial)
+		if err := sleep(plan.dial); err != nil {
+			return nil, err
+		}
 	}
 	if plan.status != 0 {
 		return &http.Response{
@@ -55,7 +60,10 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	if plan.firstByte > 0 {
-		sleep(plan.firstByte)
+		if err := sleep(plan.firstByte); err != nil {
+			res.Body.Close()
+			return nil, err
+		}
 	}
 	if f := plan.filter(sleep); f != nil {
 		res.Body = &filterReadCloser{src: res.Body, f: f}
@@ -108,7 +116,7 @@ func splitFaults(faults []fault) streamPlan {
 
 // filter builds the SSE-frame surgeon for this plan, or nil when the plan
 // needs none.
-func (p streamPlan) filter(sleep func(time.Duration)) *frameFilter {
+func (p streamPlan) filter(sleep func(time.Duration) error) *frameFilter {
 	if p.frameLat == 0 && p.cutAfter < 0 && p.truncAt < 0 && p.corruptAt < 0 {
 		return nil
 	}
@@ -131,7 +139,7 @@ var (
 // boundary is the first SSE frame's.
 type frameFilter struct {
 	plan  streamPlan
-	sleep func(time.Duration)
+	sleep func(time.Duration) error // non-nil error: the stream's caller is gone
 
 	buf    []byte // bytes of the (incomplete) current frame
 	frames int    // complete frames released so far
@@ -158,7 +166,12 @@ func (ff *frameFilter) process(in []byte, eof bool) (out []byte, err error) {
 			return out, ff.err
 		}
 		if ff.plan.frameLat > 0 {
-			ff.sleep(ff.plan.frameLat)
+			if err := ff.sleep(ff.plan.frameLat); err != nil {
+				// The request ended during the delay: like a slow link,
+				// the delayed frame never reaches the caller.
+				ff.err = err
+				return out, ff.err
+			}
 		}
 		if ff.frames == ff.plan.truncAt {
 			ff.err = errTruncate
@@ -213,6 +226,8 @@ func (rc *filterReadCloser) Read(p []byte) (int, error) {
 			rc.err = io.ErrUnexpectedEOF
 		case ferr == errTruncate:
 			rc.err = io.EOF
+		case ferr != nil:
+			rc.err = ferr
 		case rerr != nil:
 			rc.err = rerr
 		}

@@ -277,6 +277,44 @@ func TestParseSSE(t *testing.T) {
 	}
 }
 
+// FuzzParseSSE feeds parseSSE arbitrary peer bytes: it must never panic,
+// and every frame it emits, re-serialized with the worker's writeFrame,
+// must parse back to the same Event. writeFrame carries its payload as
+// JSON, so a frame whose data is not JSON is only checked for not
+// panicking, and the expected data is the payload as writeFrame encodes
+// it (compacted, HTML-escaped) — identical for the worker's own frames.
+func FuzzParseSSE(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var evs []Event
+		_ = parseSSE(bytes.NewReader(in), func(ev Event) error {
+			evs = append(evs, ev)
+			return nil
+		})
+		for _, ev := range evs {
+			if ev.Type == "" {
+				t.Fatalf("emitted event with no type: %+v", ev)
+			}
+			var frame bytes.Buffer
+			if err := writeFrame(&frame, ev.ID, ev.Type, json.RawMessage(ev.Data)); err != nil {
+				continue // data is not JSON: writeFrame cannot carry it
+			}
+			data, _ := json.Marshal(json.RawMessage(ev.Data))
+			want := Event{ID: ev.ID, Type: ev.Type, Data: data}
+			wire := frame.String()
+			var got []Event
+			if err := parseSSE(&frame, func(ev Event) error {
+				got = append(got, ev)
+				return nil
+			}); err != nil {
+				t.Fatalf("re-parsing %q: %v", wire, err)
+			}
+			if len(got) != 1 || got[0].ID != want.ID || got[0].Type != want.Type || !bytes.Equal(got[0].Data, want.Data) {
+				t.Fatalf("frame %q parsed back as %+v, want id %d type %q data %q", wire, got, want.ID, want.Type, want.Data)
+			}
+		}
+	})
+}
+
 // fakeRecorder captures shard lifecycle records.
 type fakeRecorder struct {
 	mu   sync.Mutex

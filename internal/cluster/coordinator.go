@@ -10,10 +10,10 @@
 // bounded attempt budget; the per-shard resume offset advances past
 // results already merged, so retries never recompute or duplicate points.
 // Per-peer circuit breakers (breaker.go) take chronically failing peers
-// out of the rotation; a hedge monitor (hedge.go) re-sends straggling
-// shards to a healthy peer with first-completion-wins semantics; and
-// shard deadlines adapt to the fleet's observed pace instead of the
-// worst-case ShardTimeout.
+// out of the rotation, and shard deadlines adapt to the fleet's observed
+// pace (pace.go) instead of the worst-case ShardTimeout, so a straggling
+// peer's attempt times out and its shard moves on. Each shard has a single
+// owner: one attempt in flight at a time.
 package cluster
 
 import (
@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,8 +46,6 @@ const (
 	metricMergeLag     = "delta_cluster_merge_lag"
 	metricPeerUp       = "delta_cluster_peer_up"
 	metricBreakerState = "delta_cluster_breaker_state"
-	metricHedged       = "delta_cluster_hedged_shards_total"
-	metricHedgeWins    = "delta_cluster_hedge_wins_total"
 	metricDeadline     = "delta_cluster_adaptive_deadline_seconds"
 )
 
@@ -62,8 +59,6 @@ type Metrics struct {
 	MergeLag     *obs.Gauge      // metricMergeLag
 	PeerUp       *obs.GaugeVec   // metricPeerUp{peer}
 	BreakerState *obs.GaugeVec   // metricBreakerState{peer}
-	Hedged       *obs.Counter    // metricHedged
-	HedgeWins    *obs.Counter    // metricHedgeWins
 	Deadline     *obs.Gauge      // metricDeadline
 }
 
@@ -77,8 +72,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		MergeLag:     r.Gauge(metricMergeLag, "Points received out of order, buffered awaiting the in-order merge."),
 		PeerUp:       r.GaugeVec(metricPeerUp, "Last observed peer reachability (1 ready, 0 unreachable or degraded).", "peer"),
 		BreakerState: r.GaugeVec(metricBreakerState, "Per-peer circuit breaker state (0 closed, 1 half-open, 2 open).", "peer"),
-		Hedged:       r.Counter(metricHedged, "Straggling shard attempts speculatively re-dispatched to another peer."),
-		HedgeWins:    r.Counter(metricHedgeWins, "Hedged re-dispatches that finished before the original attempt."),
 		Deadline:     r.Gauge(metricDeadline, "Most recent adaptive shard deadline derived from the fleet's pace."),
 	}
 }
@@ -107,7 +100,7 @@ type Config struct {
 
 	// ShardTimeout is the hard ceiling on one shard attempt end to end
 	// (default 10m). Once the fleet's pace is known, attempts run under
-	// the tighter adaptive deadline instead (see DeadlineSafety).
+	// the tighter adaptive deadline instead (see DeadlineFloor).
 	ShardTimeout time.Duration
 
 	// RetryBackoff is the initial reassignment delay (default 250ms),
@@ -124,22 +117,11 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// HedgeMultiplier calls an in-flight attempt a straggler when its
-	// elapsed time exceeds HedgeMultiplier × the fleet's median pace for
-	// the points it should have delivered (default 4; negative disables
-	// hedging). HedgeInterval is the monitor's poll period (default
-	// 500ms); HedgeFloor is the minimum age before any attempt may be
-	// hedged (default 2s), keeping short shards un-hedged no matter the
-	// multiplier.
-	HedgeMultiplier float64
-	HedgeInterval   time.Duration
-	HedgeFloor      time.Duration
-
-	// DeadlineFloor and DeadlineSafety shape adaptive shard deadlines:
-	// expected points × median seconds-per-point × DeadlineSafety,
-	// clamped to [DeadlineFloor, ShardTimeout] (defaults 30s and 4).
-	DeadlineFloor  time.Duration
-	DeadlineSafety float64
+	// DeadlineFloor is the lower clamp on adaptive shard deadlines
+	// (default 30s). An attempt's deadline is its expected points × the
+	// fleet's median seconds-per-point × 4, clamped to [DeadlineFloor,
+	// ShardTimeout]; an attempt that overruns it is reassigned.
+	DeadlineFloor time.Duration
 
 	// RerouteDelay spaces out queue hops when a peer's breaker rejects a
 	// dispatch (default 100ms) so a fully-open fleet doesn't spin.
@@ -215,20 +197,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 10 * time.Second
 	}
-	if cfg.HedgeMultiplier == 0 {
-		cfg.HedgeMultiplier = 4
-	}
-	if cfg.HedgeInterval <= 0 {
-		cfg.HedgeInterval = 500 * time.Millisecond
-	}
-	if cfg.HedgeFloor <= 0 {
-		cfg.HedgeFloor = 2 * time.Second
-	}
 	if cfg.DeadlineFloor <= 0 {
 		cfg.DeadlineFloor = 30 * time.Second
-	}
-	if cfg.DeadlineSafety <= 0 {
-		cfg.DeadlineSafety = 4
 	}
 	if cfg.RerouteDelay <= 0 {
 		cfg.RerouteDelay = 100 * time.Millisecond
@@ -298,91 +268,37 @@ var (
 	errSweepStopped = errors.New("cluster: sweep stopped at failing point")
 )
 
-// shardTask is one shard's mutable dispatch state. With hedging, a shard
-// can have several attempts in flight at once, so state moves under mu.
+// shardTask is one shard's dispatch state. It has a single owner at a
+// time — the runner streaming it, or the peer queue it waits in — and is
+// handed between runners over the queues, so it needs no lock.
 type shardTask struct {
-	idx int
-	rng scenario.Range
+	idx      int
+	rng      scenario.Range
+	got      int // points merged from this shard: the resume offset
+	failures int // failed attempts, charged against MaxAttempts
 
-	mu         sync.Mutex
-	got        int // high-water of points merged from this shard (monotone)
-	attempts   int // failed attempts, charged against MaxAttempts
-	dispatches int // total dispatches (including hedges): attempt numbering
-	done       bool
-	inflight   []*shardAttempt
+	// hops counts breaker-rejected reroutes since the shard last ran, so
+	// a fully-open fleet eventually forces it through instead of
+	// circulating it forever.
+	hops int
 }
 
-// liftGot raises the shard's merged high-water mark; concurrent hedged
-// attempts only ever push it forward.
-func (t *shardTask) liftGot(n int) {
-	t.mu.Lock()
-	if n > t.got {
-		t.got = n
-	}
-	t.mu.Unlock()
-}
-
-// dispatch is one queue entry: a shard bound for a peer's runner. hops
-// counts breaker-rejected reroutes, so a fully-open fleet eventually
-// forces the dispatch through instead of circulating it forever.
-type dispatch struct {
-	t     *shardTask
-	hedge bool
-	hops  int
-}
-
-// sweepState is one Run's shared machinery: the queues, the merger, the
-// live-attempt set the hedge monitor watches, and the completion counter.
+// sweepState is one Run's shared machinery: the queues, the merger, and
+// the completion counter.
 type sweepState struct {
-	c         *Coordinator
 	sw        Sweep
 	m         *merger
-	queues    []chan dispatch
+	queues    []chan *shardTask
 	runCtx    context.Context
 	cancel    context.CancelCauseFunc
-	wg        *sync.WaitGroup
+	wg        sync.WaitGroup
 	remaining atomic.Int64
-
-	mu   sync.Mutex
-	live map[*shardAttempt]struct{}
 }
 
-func (st *sweepState) track(att *shardAttempt) {
-	st.mu.Lock()
-	st.live[att] = struct{}{}
-	st.mu.Unlock()
-}
-
-func (st *sweepState) untrack(att *shardAttempt) {
-	st.mu.Lock()
-	delete(st.live, att)
-	st.mu.Unlock()
-}
-
-// attempts snapshots the live set for the hedge monitor. The set is a
-// map, so the snapshot is sorted (shard index, then originals before
-// hedges) to keep the monitor's scan order — and therefore hedge pacing —
-// independent of map iteration order.
-func (st *sweepState) attempts() []*shardAttempt {
-	st.mu.Lock()
-	out := make([]*shardAttempt, 0, len(st.live))
-	for att := range st.live {
-		out = append(out, att)
-	}
-	st.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].t.idx != out[j].t.idx {
-			return out[i].t.idx < out[j].t.idx
-		}
-		return !out[i].hedge && out[j].hedge
-	})
-	return out
-}
-
-// enqueue hands a dispatch to a peer's queue from a goroutine, optionally
+// enqueue hands a shard to a peer's queue from a goroutine, optionally
 // after a delay, giving up when the sweep ends — so no send ever blocks a
 // runner or leaks past Run.
-func (st *sweepState) enqueue(peer int, d dispatch, delay time.Duration) {
+func (st *sweepState) enqueue(peer int, t *shardTask, delay time.Duration) {
 	st.wg.Add(1)
 	go func() {
 		defer st.wg.Done()
@@ -394,7 +310,7 @@ func (st *sweepState) enqueue(peer int, d dispatch, delay time.Duration) {
 			}
 		}
 		select {
-		case st.queues[peer] <- d:
+		case st.queues[peer] <- t:
 		case <-st.runCtx.Done():
 		}
 	}()
@@ -428,58 +344,50 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep, emit func(Update) error
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	m := &merger{
-		next: offset, total: size, buf: make(map[int]Update),
-		emit: emit, failFast: sw.Policy == pipeline.FailFast,
-		stop: func() { cancel(errSweepStopped) }, metrics: c.cfg.Metrics,
-	}
-	var wg sync.WaitGroup
 	st := &sweepState{
-		c: c, sw: sw, m: m, runCtx: runCtx, cancel: cancel, wg: &wg,
-		live: make(map[*shardAttempt]struct{}),
+		sw: sw, runCtx: runCtx, cancel: cancel,
+		m: &merger{
+			next: offset, total: size, buf: make(map[int]Update),
+			emit: emit, failFast: sw.Policy == pipeline.FailFast,
+			stop: func() { cancel(errSweepStopped) }, metrics: c.cfg.Metrics,
+		},
 	}
 	st.remaining.Store(int64(len(tasks)))
-	st.queues = make([]chan dispatch, len(peers))
+	st.queues = make([]chan *shardTask, len(peers))
 	for i := range st.queues {
-		st.queues[i] = make(chan dispatch, len(tasks))
+		st.queues[i] = make(chan *shardTask, len(tasks))
 	}
 	for _, t := range tasks {
-		st.queues[c.affinity(points[t.rng.Offset])] <- dispatch{t: t}
+		st.queues[c.affinity(points[t.rng.Offset])] <- t
 	}
 
 	for i := range peers {
-		wg.Add(1)
+		st.wg.Add(1)
 		go func(peer int) {
-			defer wg.Done()
+			defer st.wg.Done()
 			for {
 				select {
 				case <-runCtx.Done():
 					return
-				case d := <-st.queues[peer]:
-					if !c.breakers[peer].Allow() && d.hops < len(peers) {
+				case t := <-st.queues[peer]:
+					if !c.breakers[peer].Allow() && t.hops < len(peers) {
 						// Breaker open: pass the shard along instead of
 						// burning an attempt on a peer known broken. After a
 						// full loop of rejections it runs anyway — the
 						// attempt budget, not the breakers, decides when a
 						// sweep with no healthy peers dies.
-						d.hops++
-						st.enqueue((peer+1)%len(peers), d, c.cfg.RerouteDelay)
+						t.hops++
+						st.enqueue((peer+1)%len(peers), t, c.cfg.RerouteDelay)
 						continue
 					}
-					c.runShard(st, peer, d)
+					t.hops = 0
+					c.runShard(st, peer, t)
 				}
 			}
 		}(i)
 	}
-	if c.cfg.HedgeMultiplier > 0 && len(peers) > 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.hedgeLoop()
-		}()
-	}
 	<-runCtx.Done()
-	wg.Wait()
+	st.wg.Wait()
 
 	cause := context.Cause(runCtx)
 	switch {
@@ -492,68 +400,31 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep, emit func(Update) error
 	}
 }
 
-// runShard runs one dispatch attempt and handles its outcome: completion
-// (first finisher wins, cancelling hedge siblings), reassignment with
-// backoff, or sweep failure when the budget is spent.
-func (c *Coordinator) runShard(st *sweepState, peer int, d dispatch) {
-	t := d.t
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return
-	}
-	t.dispatches++
-	attemptNo := t.dispatches
-	startGot := t.got
-	//lint:ignore determinism attempt start times pace hedging/backoff only; merged results are ordered by shard index, never by wall clock
-	att := &shardAttempt{t: t, peer: peer, hedge: d.hedge, start: time.Now()}
-	t.inflight = append(t.inflight, att)
-	t.mu.Unlock()
-
+// runShard runs one attempt of a shard on a peer and handles its outcome:
+// completion, reassignment to the next peer with backoff, or sweep failure
+// when the budget is spent.
+func (c *Coordinator) runShard(st *sweepState, peer int, t *shardTask) {
+	attempt := t.failures + 1
 	peerURL := c.cfg.Peers[peer]
-	c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardDispatched)
+	c.record(st.sw.JobID, t, peerURL, attempt, durable.ShardDispatched)
 	if mt := c.cfg.Metrics; mt != nil {
 		mt.InFlight.Inc()
 	}
-	actx, acancel := context.WithCancel(st.runCtx)
-	att.cancel = acancel
-	st.track(att)
-	err := c.streamShard(actx, st.sw, peer, att, st.m, startGot)
-	acancel()
-	st.untrack(att)
+	err := c.streamShard(st.runCtx, st.sw, st.m, peer, t)
 	if mt := c.cfg.Metrics; mt != nil {
 		mt.InFlight.Dec()
 	}
-
-	t.mu.Lock()
-	for i, a := range t.inflight {
-		if a == att {
-			t.inflight = append(t.inflight[:i], t.inflight[i+1:]...)
-			break
-		}
-	}
-	if t.done || st.runCtx.Err() != nil {
-		// A hedge sibling already finished this shard, or the sweep ended
-		// (done, stopped, cancelled, or failed elsewhere) while this
-		// attempt was in flight; its outcome no longer matters.
-		t.mu.Unlock()
+	if st.runCtx.Err() != nil {
+		// The sweep ended (done, stopped, cancelled, or failed elsewhere)
+		// while this attempt was in flight; its outcome no longer matters.
 		return
 	}
 	if err == nil {
-		t.done = true
-		losers := append([]*shardAttempt(nil), t.inflight...)
-		t.mu.Unlock()
-		for _, l := range losers {
-			l.cancel()
-		}
 		c.breakers[peer].Success()
-		c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardDone)
+		c.record(st.sw.JobID, t, peerURL, attempt, durable.ShardDone)
 		if mt := c.cfg.Metrics; mt != nil {
 			mt.Shards.With(peerLabel(peerURL), durable.ShardDone).Inc()
 			mt.PeerUp.With(peerLabel(peerURL)).Set(1)
-			if att.hedge {
-				mt.HedgeWins.Inc()
-			}
 		}
 		if st.remaining.Add(-1) == 0 {
 			st.cancel(errSweepDone)
@@ -561,13 +432,9 @@ func (c *Coordinator) runShard(st *sweepState, peer int, d dispatch) {
 		return
 	}
 
-	t.attempts++
-	fails := t.attempts
-	siblings := len(t.inflight)
-	t.mu.Unlock()
-
+	t.failures++
 	c.breakers[peer].Failure()
-	c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardFailed)
+	c.record(st.sw.JobID, t, peerURL, attempt, durable.ShardFailed)
 	if mt := c.cfg.Metrics; mt != nil {
 		mt.Shards.With(peerLabel(peerURL), durable.ShardFailed).Inc()
 		mt.PeerUp.With(peerLabel(peerURL)).Set(0)
@@ -577,49 +444,45 @@ func (c *Coordinator) runShard(st *sweepState, peer int, d dispatch) {
 		st.cancel(fmt.Errorf("cluster: merging shard %d: %w", t.idx, ee.err))
 		return
 	}
-	if siblings > 0 {
-		// A hedge (or the original) is still streaming this shard; it
-		// inherits sole responsibility for the next move.
-		return
-	}
-	if fails >= c.cfg.MaxAttempts {
+	if t.failures >= c.cfg.MaxAttempts {
 		st.cancel(fmt.Errorf("cluster: shard %d [%d,+%d) failed after %d attempt(s), last on %s: %w",
-			t.idx, t.rng.Offset, t.rng.Count, fails, peerURL, err))
+			t.idx, t.rng.Offset, t.rng.Count, t.failures, peerURL, err))
 		return
 	}
 	if mt := c.cfg.Metrics; mt != nil {
 		mt.Retries.Inc()
 	}
-	c.cfg.Log.Printf("cluster: shard %d attempt %d on %s failed (%v); reassigning", t.idx, attemptNo, peerURL, err)
-	st.enqueue((peer+1)%len(st.queues), dispatch{t: t},
-		backoffFor(c.cfg.RetryBackoff, c.cfg.MaxBackoff, fails))
+	c.cfg.Log.Printf("cluster: shard %d attempt %d on %s failed (%v); reassigning", t.idx, attempt, peerURL, err)
+	st.enqueue((peer+1)%len(st.queues), t, backoffFor(c.cfg.RetryBackoff, c.cfg.MaxBackoff, t.failures))
 }
 
 // streamShard runs one SSE attempt against a peer, merging results and
-// advancing the shard's resume high-water as in-order frames arrive. The
-// request window starts at the shard's merged high-water when the attempt
-// began, so retries after partial progress re-request only the remainder.
-func (c *Coordinator) streamShard(actx context.Context, sw Sweep, peer int, att *shardAttempt, m *merger, startGot int) error {
-	t := att.t
-	window := t.rng.Count - startGot
+// advancing the shard's resume offset as in-order frames arrive. The
+// request window starts at the resume offset, so retries after partial
+// progress re-request only the remainder. The attempt runs under the
+// adaptive shard deadline: a peer too slow for it fails the attempt and
+// the shard is reassigned.
+func (c *Coordinator) streamShard(ctx context.Context, sw Sweep, m *merger, peer int, t *shardTask) error {
+	expected := t.rng.Offset + t.got
+	window := t.rng.Count - t.got
 	body, err := json.Marshal(struct {
 		Scenario json.RawMessage `json:"scenario"`
 		Offset   int             `json:"offset"`
 		Limit    int             `json:"limit"`
-	}{sw.Doc, t.rng.Offset + startGot, window})
+	}{sw.Doc, expected, window})
 	if err != nil {
 		return errEmit{err} // malformed sweep doc: retrying cannot help
 	}
-	sctx, scancel := context.WithTimeout(actx, c.shardDeadline(window))
+	sctx, scancel := context.WithTimeout(ctx, c.shardDeadline(window))
 	defer scancel()
 	cli := &Client{
 		HTTP: c.cfg.HTTP, Token: c.cfg.Token,
 		Retries: c.cfg.ClientRetries, Backoff: c.cfg.ClientBackoff,
 	}
-	expected := t.rng.Offset + startGot
 	end := t.rng.Offset + t.rng.Count
 	var doneCount int
-	last := att.start
+	//lint:ignore determinism attempt start time paces the deadline EWMA only; merged results are ordered by index, never by wall clock
+	last := time.Now()
 	err = cli.Stream(sctx, c.cfg.Peers[peer]+"/v2/shards", body, func(ev Event) error {
 		switch ev.Type {
 		case "result":
@@ -634,12 +497,11 @@ func (c *Coordinator) streamShard(actx context.Context, sw Sweep, peer int, att 
 				return merr
 			}
 			expected++
-			att.delivered.Add(1)
-			//lint:ignore determinism inter-frame pacing feeds the hedge EWMA, not the merged result stream
+			t.got++
+			//lint:ignore determinism inter-frame pacing feeds the deadline EWMA, not the merged result stream
 			now := time.Now()
 			c.rates.observe(peer, now.Sub(last).Seconds())
 			last = now
-			t.liftGot(expected - t.rng.Offset)
 		case "done":
 			var d wireDone
 			if uerr := json.Unmarshal(ev.Data, &d); uerr != nil {
@@ -660,7 +522,7 @@ func (c *Coordinator) streamShard(actx context.Context, sw Sweep, peer int, att 
 	// streams only the remainder.
 	if expected != end || doneCount != window {
 		return fmt.Errorf("cluster: shard %d short: got %d of %d point(s) (done frame said %d of %d)",
-			t.idx, expected-t.rng.Offset, t.rng.Count, doneCount, window)
+			t.idx, t.got, t.rng.Count, doneCount, window)
 	}
 	return nil
 }
@@ -698,10 +560,9 @@ func peerLabel(u string) string {
 
 // merger folds concurrent shard results back into expansion order: updates
 // buffer until their index is next, then emit in order. Stale duplicates
-// (reconnect replays racing an advanced resume offset, or a hedge pair
-// covering the same window) are dropped; under FailFast the first erroring
-// in-order point stops the sweep exactly where a single-node fail-fast
-// stream would.
+// (a reconnect replay overlapping points already merged) are dropped as a
+// safety net; under FailFast the first erroring in-order point stops the
+// sweep exactly where a single-node fail-fast stream would.
 type merger struct {
 	mu       sync.Mutex
 	next     int

@@ -1,6 +1,7 @@
 // Adversarial completion-order tests for the merger: whatever order
-// shards (and hedged duplicates of shards) finish in, the emitted stream
-// is the dense in-order point sequence, each point exactly once.
+// shards (and duplicated deliveries of their points) finish in, the
+// emitted stream is the dense in-order point sequence, each point exactly
+// once.
 package cluster
 
 import (
@@ -72,14 +73,14 @@ func TestMergerInterleavedShards(t *testing.T) {
 	checkDense(t, *out, 12)
 }
 
-// TestMergerHedgedDuplicates: a hedged shard's window arrives twice —
-// once from the straggling original, once from the hedge — partially
+// TestMergerDuplicates: a shard's window arrives twice — as when a
+// reconnect replays frames that overlap points already merged — partially
 // interleaved and racing the merge cursor. Every duplicate is dropped,
 // whether it is still buffered (same index waiting) or already emitted
 // (index below the cursor).
-func TestMergerHedgedDuplicates(t *testing.T) {
+func TestMergerDuplicates(t *testing.T) {
 	m, out, _ := mergeHarness(8)
-	// Original attempt of shard [4,8) delivers 4,5 out of order.
+	// The first stream of shard [4,8) delivers 4,5 out of order.
 	for _, i := range []int{5, 4} {
 		if err := m.deliver(upd(i)); err != nil {
 			t.Fatal(err)
@@ -91,15 +92,15 @@ func TestMergerHedgedDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The hedge re-delivers the whole window [4,8): 4,5 are stale
+	// A replay re-delivers the whole window [4,8): 4,5 are stale
 	// (below the cursor), 6,7 are fresh.
 	for _, i := range []int{4, 5, 6, 7} {
 		if err := m.deliver(upd(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The original straggler limps in with 6,7 after the hedge won: both
-	// already emitted.
+	// The first stream limps in with 6,7 after the replay: both already
+	// emitted.
 	for _, i := range []int{6, 7} {
 		if err := m.deliver(upd(i)); err != nil {
 			t.Fatal(err)
@@ -156,8 +157,8 @@ func TestMergerFailFastAdversarial(t *testing.T) {
 	if len(*out) != 3 || (*out)[2].Err != "boom" {
 		t.Fatalf("emitted %d updates, want exactly [0,1,2] with the error on 2", len(*out))
 	}
-	// A hedge duplicate of the failing point and fresh later points after
-	// the stop change nothing.
+	// A duplicate of the failing point and fresh later points after the
+	// stop change nothing.
 	if err := m.deliver(bad); err != nil {
 		t.Fatal(err)
 	}

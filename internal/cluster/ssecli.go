@@ -206,9 +206,11 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, bo
 var errStreamEnd = errors.New("stream end")
 
 // parseSSE reads Server-Sent-Events frames from r and hands each complete
-// frame to emit. Comment lines (leading ':') are skipped; a blank line
-// dispatches the accumulated frame. Returns nil on EOF, emit's error when
-// it aborts (errStreamEnd is swallowed), or the read error otherwise.
+// frame to emit. Lines end in LF or CRLF, and any trailing CRs are
+// dropped, so no field value ends in one; comment lines (leading ':') are
+// skipped; a blank line dispatches the accumulated frame. Returns nil on
+// EOF, emit's error when it aborts (errStreamEnd is swallowed), or the
+// read error otherwise.
 func parseSSE(r io.Reader, emit func(Event) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -231,7 +233,7 @@ func parseSSE(r io.Reader, emit func(Event) error) error {
 		return err
 	}
 	for sc.Scan() {
-		line := sc.Text()
+		line := strings.TrimRight(sc.Text(), "\r")
 		switch {
 		case line == "":
 			if err := flush(); err != nil {

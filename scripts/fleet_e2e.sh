@@ -11,22 +11,23 @@
 #                  mid-frame and corrupt an SSE frame; assert the SSE
 #                  client recovers in-stream (no shard retries burned) and
 #                  results stay identical.
-#   chaos-hedge    a worker turns slow (injected per-frame latency); the
-#                  straggling shards are hedged to the healthy worker;
-#                  assert hedge metrics moved and results stay identical.
+#   chaos-deadline a worker turns slow (injected per-frame latency); its
+#                  shard attempts time out under the adaptive deadline and
+#                  are reassigned to the healthy worker; assert the retry
+#                  and deadline metrics moved and results stay identical.
 #   chaos-breaker  a worker refuses every shard connection; its circuit
 #                  breaker opens (visible in /metrics and /healthz),
 #                  shards reroute, and after the cooldown a health probe
 #                  walks the breaker half-open -> closed.
 #
 # Run by the CI fleet-e2e (LEGS=kill) and chaos-e2e (the three chaos legs)
-# jobs; usable locally: ./scripts/fleet_e2e.sh [LEGS="kill chaos-hedge"]
+# jobs; usable locally: ./scripts/fleet_e2e.sh [LEGS="kill chaos-deadline"]
 set -Eeuo pipefail
 # -E propagates the ERR trap into the leg functions: any failing command
 # names its line and text before the EXIT trap tears the fleet down.
 trap 'echo "fleet-e2e: FAIL at ${BASH_SOURCE[0]}:$LINENO: $BASH_COMMAND" >&2' ERR
 
-LEGS="${LEGS:-kill chaos-stream chaos-hedge chaos-breaker}"
+LEGS="${LEGS:-kill chaos-stream chaos-deadline chaos-breaker}"
 REF="${REF:-127.0.0.1:18090}"
 
 TMP=$(mktemp -d)
@@ -282,42 +283,42 @@ leg_chaos_stream() {
   echo "fleet-e2e: chaos-stream leg PASS"
 }
 
-# --------------------------------------------------------- chaos-hedge leg
+# ------------------------------------------------------ chaos-deadline leg
 # After a clean warm-up sweep seeds the fleet's pace EWMA, the busy worker
 # turns slow: every SSE frame is delayed 1.5s (rules arm after each
-# worker's first two shard requests). The hedge monitor must re-dispatch
-# the straggling shards to the healthy worker and win.
-leg_chaos_hedge() {
+# worker's first two shard requests). The slow worker's attempts must time
+# out under the adaptive deadline (clamped up to -shard-deadline-floor 1s)
+# and be reassigned to the healthy worker.
+leg_chaos_deadline() {
   local W1=127.0.0.1:18097 W2=127.0.0.1:18098 CO=127.0.0.1:18099
   local RULES='[{"fault":"latency","where":"frame","latency_ms":1500,"path":"/v2/shards","after_requests":2}]'
   start "$W1" -chaos "$RULES"
   start "$W2" -chaos "$RULES"
   start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1 \
-    -hedge-interval 200ms -hedge-floor 500ms -shard-deadline-floor 1s
+    -shard-deadline-floor 1s
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   fast_reference
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/hedge_warmup.json"
-  identical "$TMP/hedge_warmup.json" "$TMP/ref_fast.json" 2
-  echo "fleet-e2e: hedge warm-up sweep done (pace EWMA seeded)"
-
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/hedge_merged.json"
-  identical "$TMP/hedge_merged.json" "$TMP/ref_fast.json" 2
-
-  local HEDGED WINS DEADLINE
-  HEDGED=$(metric "$CO" delta_cluster_hedged_shards_total)
-  WINS=$(metric "$CO" delta_cluster_hedge_wins_total)
-  DEADLINE=$(metric "$CO" delta_cluster_adaptive_deadline_seconds)
-  if [ "${HEDGED%.*}" -lt 1 ]; then
-    echo "fleet-e2e: no hedge fired against the slow worker (hedged=$HEDGED)" >&2; exit 1
+  run_job "$CO" "$FAST_SCENARIO" "$TMP/deadline_warmup.json"
+  identical "$TMP/deadline_warmup.json" "$TMP/ref_fast.json" 2
+  echo "fleet-e2e: deadline warm-up sweep done (pace EWMA seeded)"
+  if [ "$(metric "$CO" delta_cluster_shard_retries_total)" != 0 ]; then
+    echo "fleet-e2e: clean warm-up sweep retried shards" >&2; exit 1
   fi
-  if [ "${WINS%.*}" -lt 1 ]; then
-    echo "fleet-e2e: hedges fired but none won (wins=$WINS)" >&2; exit 1
+
+  run_job "$CO" "$FAST_SCENARIO" "$TMP/deadline_merged.json"
+  identical "$TMP/deadline_merged.json" "$TMP/ref_fast.json" 2
+
+  local RETRIES DEADLINE
+  RETRIES=$(metric "$CO" delta_cluster_shard_retries_total)
+  DEADLINE=$(metric "$CO" delta_cluster_adaptive_deadline_seconds)
+  if [ "${RETRIES%.*}" -lt 1 ]; then
+    echo "fleet-e2e: no attempt on the slow worker timed out and was reassigned (retries=$RETRIES)" >&2; exit 1
   fi
   if [ "${DEADLINE%.*}" -lt 1 ]; then
     echo "fleet-e2e: adaptive deadline gauge never moved ($DEADLINE)" >&2; exit 1
   fi
-  echo "fleet-e2e: chaos-hedge leg PASS (hedged=$HEDGED wins=$WINS deadline=${DEADLINE}s)"
+  echo "fleet-e2e: chaos-deadline leg PASS (retries=$RETRIES deadline=${DEADLINE}s)"
 }
 
 # ------------------------------------------------------- chaos-breaker leg
@@ -420,7 +421,7 @@ for leg in $LEGS; do
   case "$leg" in
     kill) leg_kill ;;
     chaos-stream) leg_chaos_stream ;;
-    chaos-hedge) leg_chaos_hedge ;;
+    chaos-deadline) leg_chaos_deadline ;;
     chaos-breaker) leg_chaos_breaker ;;
     *) echo "fleet-e2e: unknown leg '$leg'" >&2; exit 2 ;;
   esac
